@@ -290,6 +290,22 @@ func BenchmarkAblationInterval4(b *testing.B) { benchInterval(b, 4) }
 // BenchmarkAblationInterval16 holds tournaments every 16 steps.
 func BenchmarkAblationInterval16(b *testing.B) { benchInterval(b, 16) }
 
+// overheadModel models a fixed per-dispatch cost by spinning for d
+// ahead of every forward pass of the wrapped model. Spin rather than
+// sleep: dispatch overhead keeps the execution unit busy, like a kernel
+// launch does. The server times Run as the forward stage, so the
+// overhead bills to the forward span.
+type overheadModel struct {
+	serve.Model
+	d time.Duration
+}
+
+func (m overheadModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	for start := time.Now(); time.Since(start) < m.d; {
+	}
+	return m.Model.Run(method, x)
+}
+
 // benchServe measures serving throughput with 64 concurrent clients;
 // one op is one served request. maxBatch 1 disables coalescing (every
 // request is its own forward pass), so the batched/unbatched ratio is
@@ -298,9 +314,10 @@ func BenchmarkAblationInterval16(b *testing.B) { benchInterval(b, 16) }
 // batch instead of once per request. On CPU-only hosts the real
 // per-pass cost is just allocation + scheduling hops + the flush
 // timer, so — exactly like ensemble.Config.TaskOverhead models
-// Merlin's per-task scheduler cost — PassOverhead models the
-// kernel-launch/RPC overhead of a production accelerator deployment
-// (20µs is the order of a CUDA launch plus inference-server hop).
+// Merlin's per-task scheduler cost — an overheadModel in front of the
+// pool models the kernel-launch/RPC overhead of a production
+// accelerator deployment (20µs is the order of a CUDA launch plus
+// inference-server hop).
 func benchServe(b *testing.B, maxBatch int) {
 	g := jag.Config{ImageSize: 4, Views: 3, Channels: 2}
 	cfg := cyclegan.DefaultConfig(g)
@@ -312,11 +329,10 @@ func benchServe(b *testing.B, maxBatch int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := serve.NewServer(pool, serve.Config{
-		MaxBatch:     maxBatch,
-		MaxDelay:     2 * time.Millisecond,
-		QueueDepth:   256,
-		PassOverhead: 20 * time.Microsecond,
+	srv := serve.NewServer(overheadModel{Model: pool, d: 20 * time.Microsecond}, serve.Config{
+		MaxBatch:   maxBatch,
+		MaxDelay:   2 * time.Millisecond,
+		QueueDepth: 256,
 	})
 	defer srv.Close()
 

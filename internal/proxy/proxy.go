@@ -194,10 +194,8 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/models/{name}/{method}", p.serveCall)
-	mux.HandleFunc("POST /predict", p.serveCall) // deprecated alias, forwarded as-is
 	mux.HandleFunc("GET /v1/models", p.servePass)
 	mux.HandleFunc("GET /v1/models/{name}/stats", p.servePass)
-	mux.HandleFunc("GET /stats", p.servePass) // deprecated alias
 	mux.HandleFunc("GET /healthz", p.serveHealthz)
 	mux.HandleFunc("GET /metrics", p.serveMetrics)
 	p.mux = mux
@@ -235,27 +233,20 @@ func (p *Proxy) logf(format string, args ...any) {
 //	GET  /healthz                    the proxy's own fleet health
 //	GET  /metrics                    jag_proxy_* Prometheus exposition
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := sanitizeID(r.Header.Get(serve.RequestIDHeader))
-	if id == "" {
-		id = newID()
-	}
+	id := serve.IncomingRequestID(r)
 	w.Header().Set(serve.RequestIDHeader, id)
 	r.Header.Set(serve.RequestIDHeader, id) // forwarded verbatim to the backend
 	if p.cfg.AccessLog == nil {
 		p.mux.ServeHTTP(w, r)
 		return
 	}
-	sw := &statusWriter{ResponseWriter: w}
+	sw := &serve.StatusWriter{ResponseWriter: w}
 	start := time.Now()
 	p.mux.ServeHTTP(sw, r)
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
 	p.cfg.AccessLog.LogAttrs(r.Context(), slog.LevelInfo, "request",
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.Int("status", status),
+		slog.Int("status", sw.Status()),
 		slog.String("backend", sw.Header().Get(backendHeader)),
 		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
 		slog.String("request_id", id))
@@ -328,7 +319,7 @@ func (p *Proxy) serveCall(w http.ResponseWriter, r *http.Request) {
 				sec = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(sec))
-			writeError(w, http.StatusTooManyRequests,
+			serve.WriteError(w, http.StatusTooManyRequests,
 				fmt.Sprintf("rate limit exceeded; retry after %ds", sec))
 			return
 		}
@@ -339,7 +330,7 @@ func (p *Proxy) serveCall(w http.ResponseWriter, r *http.Request) {
 	}
 	class, err := serve.ParsePriority(r.Header.Get(serve.PriorityHeader))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	hedge := class == serve.Interactive && p.cfg.HedgeDelay > 0
@@ -547,7 +538,7 @@ const backendHeader = "X-Jag-Backend"
 // client. X-Request-Id is not copied: the proxy already set its own
 // (which the backend echoed, since it was forwarded).
 var relayHeaders = []string{
-	"Content-Type", "Retry-After", "Server-Timing", "Deprecation", "Link",
+	"Content-Type", "Retry-After", "Server-Timing",
 }
 
 // relay writes the winning outcome to the client.
@@ -557,7 +548,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, out outcome) {
 		p.m.Counter("jag_proxy_no_backend_total",
 			"Requests failed because no backend was available.", nil).Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no backend available")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no backend available")
 		return
 	case out.err != nil:
 		if r.Context().Err() != nil {
@@ -566,7 +557,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, out outcome) {
 		if out.b != nil {
 			w.Header().Set(backendHeader, out.b.name)
 		}
-		writeError(w, http.StatusBadGateway,
+		serve.WriteError(w, http.StatusBadGateway,
 			fmt.Sprintf("backend attempt failed: %v", out.err))
 		return
 	}

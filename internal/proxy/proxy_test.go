@@ -12,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cyclegan"
+	"repro/internal/jag"
 	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 // fakeBackend is an httptest stand-in for one jagserve replica with a
@@ -381,6 +384,61 @@ func TestPassthroughAndFleetHealthz(t *testing.T) {
 	defer hresp2.Body.Close()
 	if hresp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("all-down healthz status %d, want 503", hresp2.StatusCode)
+	}
+}
+
+// TestUnversionedRoutesGone checks that the pre-v1 POST /predict and
+// GET /stats routes answer 404 from a real jagserve handler and from the
+// proxy in front of it, even with a model named "default" registered,
+// while the model's v1 routes keep answering.
+func TestUnversionedRoutesGone(t *testing.T) {
+	cfg := cyclegan.DefaultConfig(jag.Tiny8)
+	cfg.EncoderHidden = []int{16}
+	cfg.ForwardHidden = []int{8}
+	cfg.InverseHidden = []int{8}
+	cfg.DiscHidden = []int{8}
+	pool, err := serve.NewPool([]*cyclegan.Surrogate{cyclegan.New(cfg, 42)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	t.Cleanup(reg.Close)
+	if err := reg.Register("default", serve.NewServer(pool, serve.Config{})); err != nil {
+		t.Fatal(err)
+	}
+	backend := httptest.NewServer(serve.NewRegistryHandler(reg, serve.HandlerConfig{}))
+	t.Cleanup(backend.Close)
+	p, err := New([]string{backend.URL}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(p)
+	t.Cleanup(front.Close)
+
+	const body = `{"input":[0.5,0.5,0.5,0.5,0.5]}`
+	for _, tier := range []struct{ name, url string }{{"jagserve", backend.URL}, {"proxy", front.URL}} {
+		for _, c := range []struct {
+			method, path string
+			want         int
+		}{
+			{http.MethodPost, "/predict", http.StatusNotFound},
+			{http.MethodGet, "/stats", http.StatusNotFound},
+			{http.MethodPost, "/v1/models/default/predict", http.StatusOK},
+			{http.MethodGet, "/v1/models/default/stats", http.StatusOK},
+		} {
+			req, err := http.NewRequest(c.method, tier.url+c.path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("%s: %s %s status %d, want %d", tier.name, c.method, c.path, resp.StatusCode, c.want)
+			}
+		}
 	}
 }
 

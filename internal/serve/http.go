@@ -82,9 +82,6 @@ type PredictResponse struct {
 // ModelInfo is one model's entry in the GET /v1/models listing.
 type ModelInfo struct {
 	Name string `json:"name"`
-	// Default marks the model the deprecated unversioned endpoints
-	// answer for.
-	Default bool `json:"default,omitempty"`
 	// Ready is false once the model's server has been closed.
 	Ready    bool            `json:"ready"`
 	Replicas int             `json:"replicas,omitempty"`
@@ -164,21 +161,6 @@ type HandlerConfig struct {
 	AccessLog *slog.Logger
 }
 
-// NewHandler exposes a single Server over the full v1 HTTP surface by
-// wrapping it as the sole (and default) model, named "default", of a
-// fresh Registry. Tests and single-model deployments mount exactly
-// this handler.
-func NewHandler(s *Server) http.Handler { return NewHandlerConfig(s, HandlerConfig{}) }
-
-// NewHandlerConfig is NewHandler with explicit options.
-func NewHandlerConfig(s *Server, hc HandlerConfig) http.Handler {
-	reg := NewRegistry()
-	if err := reg.Register("default", s); err != nil {
-		panic(err) // unreachable: the name is valid and the registry fresh
-	}
-	return NewRegistryHandler(reg, hc)
-}
-
 // NewRegistryHandler exposes every model of a Registry over HTTP:
 //
 //	GET  /v1/models                    model listing: methods, dims, readiness, generation
@@ -186,8 +168,6 @@ func NewHandlerConfig(s *Server, hc HandlerConfig) http.Handler {
 //	GET  /v1/models/{name}/stats       per-model serving counters + reload generation
 //	GET  /metrics                      Prometheus text exposition, every model
 //	GET  /healthz                      per-model readiness + reload state; 503 if any model closed
-//	POST /predict                      deprecated: default model's "predict"
-//	GET  /stats                        deprecated: default model's counters
 //
 // Every request is assigned (or propagates) an X-Request-Id correlation
 // ID, echoed on the response; call routes additionally emit a
@@ -212,7 +192,6 @@ func NewHandlerConfig(s *Server, hc HandlerConfig) http.Handler {
 func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
-		def, _, _ := reg.Default()
 		resp := ModelsResponse{Models: []ModelInfo{}}
 		for _, name := range reg.Names() {
 			s, ok := reg.Get(name)
@@ -221,7 +200,6 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 			}
 			info := ModelInfo{
 				Name:       name,
-				Default:    name == def,
 				Ready:      !s.Closed(),
 				Methods:    s.Dims(),
 				Generation: reg.Generation(name),
@@ -238,13 +216,13 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		// before closing rather than fail its rows with ErrClosed.
 		s, release, ok := reg.Acquire(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)",
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)",
 				name, strings.Join(reg.Names(), ", ")))
 			return
 		}
 		defer release()
 		if _, ok := s.Dims()[method]; !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("model %q has no method %q (serves: %s)",
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("model %q has no method %q (serves: %s)",
 				name, method, strings.Join(s.Methods(), ", ")))
 			return
 		}
@@ -254,7 +232,7 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		name := r.PathValue("name")
 		s, ok := reg.Get(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
 			return
 		}
 		gen := reg.Generation(name)
@@ -287,31 +265,6 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		}
 		writeJSONStatus(w, code, resp)
 	})
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		markDeprecated(w)
-		name, s, release, ok := reg.AcquireDefault()
-		if !ok {
-			httpError(w, http.StatusServiceUnavailable, "no models registered")
-			return
-		}
-		defer release()
-		if _, ok := s.Dims()[MethodPredict]; !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("default model %q has no predict method", name))
-			return
-		}
-		serveCall(w, r, s, MethodPredict, hc)
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		markDeprecated(w)
-		name, s, ok := reg.Default()
-		if !ok {
-			httpError(w, http.StatusServiceUnavailable, "no models registered")
-			return
-		}
-		gen := reg.Generation(name)
-		writeJSON(w, ModelStats{StatsSnapshot: s.Stats(), Generation: gen, Reloads: gen - 1,
-			ForcedCloses: reg.ForcedCloses(name), CapacityQPS: s.CapacityQPS()})
-	})
 	return withObservability(mux, hc.AccessLog)
 }
 
@@ -326,13 +279,6 @@ func poolShape(m Model) (replicas int, ensemble bool) {
 		ensemble = e.Ensemble()
 	}
 	return replicas, ensemble
-}
-
-// markDeprecated stamps the deprecation headers on the unversioned
-// legacy endpoints, pointing clients at the v1 surface.
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/models>; rel="successor-version"`)
 }
 
 // serveCall is the transport-agnostic core of a batched model-method
@@ -352,7 +298,7 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 			// A malformed deadline must not silently become "no
 			// deadline": the caller asked for shedding and would get
 			// unbounded queueing instead.
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q: want a positive integer", DeadlineHeader, h))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q: want a positive integer", DeadlineHeader, h))
 			return
 		}
 		deadline = time.Duration(ms) * time.Millisecond
@@ -370,14 +316,14 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 		}
 		rows, err := DecodeFrame(r.Body, dims.In, maxRows)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad tensor frame: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad tensor frame: "+err.Error())
 			return
 		}
 		inputs = rows
 	} else {
 		var req PredictRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad json: "+err.Error())
 			return
 		}
 		inputs = req.Inputs
@@ -396,11 +342,11 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	}
 	class, err := ParsePriority(priority)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(inputs) == 0 {
-		httpError(w, http.StatusBadRequest, "no inputs")
+		WriteError(w, http.StatusBadRequest, "no inputs")
 		return
 	}
 
@@ -477,7 +423,7 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 		encStart := time.Now()
 		buf, err := EncodeFrame(outputs)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", ContentTypeTensor)
@@ -632,8 +578,10 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// httpError renders a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, msg string) {
+// WriteError renders the JSON {"error": msg} envelope with the given
+// status. The fleet proxy renders its own errors through it too, so
+// clients see one error shape fleet-wide.
+func WriteError(w http.ResponseWriter, status int, msg string) {
 	writeJSONStatus(w, status, struct {
 		Error string `json:"error"`
 	}{msg})

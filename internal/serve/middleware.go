@@ -34,8 +34,17 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// newRequestID mints a 16-hex-digit correlation ID.
-func newRequestID() string {
+// IncomingRequestID returns the correlation ID for r: the caller's
+// X-Request-Id when it is short printable ASCII, else a fresh
+// 16-hex-digit ID. Anything else a caller sends (header injection,
+// binary junk, unbounded length) is discarded so the ID is safe to echo
+// in a response header and a log line. The backend middleware and the
+// fleet proxy both assign IDs through it, so a trace reads the same on
+// every hop.
+func IncomingRequestID(r *http.Request) string {
+	if id := r.Header.Get(RequestIDHeader); printableID(id) {
+		return id
+	}
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand never fails on the platforms we run on; a zero ID
@@ -45,20 +54,17 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// sanitizeRequestID accepts a caller-supplied correlation ID only when
-// it is short printable ASCII: anything else (header injection, binary
-// junk, unbounded length) is discarded so the ID is safe to echo in a
-// response header and a log line.
-func sanitizeRequestID(id string) string {
+// printableID reports whether id is 1-128 bytes of printable ASCII.
+func printableID(id string) bool {
 	if len(id) == 0 || len(id) > 128 {
-		return ""
+		return false
 	}
 	for i := 0; i < len(id); i++ {
 		if id[i] <= ' ' || id[i] > '~' {
-			return ""
+			return false
 		}
 	}
-	return id
+	return true
 }
 
 // traceCapture is the per-request slot serveCall deposits its merged
@@ -112,22 +118,23 @@ func serverTimingValue(t Trace) string {
 		durMs(t.QueueWait), durMs(t.Assembly), durMs(t.Forward), fmt.Sprint(t.Batch))
 }
 
-// statusWriter records the status code and body size passing through a
-// ResponseWriter, for the access log.
-type statusWriter struct {
+// StatusWriter records the status code and body size passing through a
+// ResponseWriter, for access logs. Wrap with
+// &StatusWriter{ResponseWriter: w}.
+type StatusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+func (w *StatusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
+func (w *StatusWriter) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
@@ -136,16 +143,25 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Status returns the response status, 200 when the handler wrote
+// nothing (net/http's implicit status).
+func (w *StatusWriter) Status() int {
+	if w.status == 0 {
+		return http.StatusOK
+	}
+	return w.status
+}
+
+// Bytes returns the response body bytes written so far.
+func (w *StatusWriter) Bytes() int64 { return w.bytes }
+
 // withObservability wraps the handler mux with the per-request plumbing:
 // assign or propagate the correlation ID, echo it on the response, stash
 // it and a span-capture slot in the context, and — when logger is
 // non-nil — emit one structured "request" record per request.
 func withObservability(next http.Handler, logger *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if id == "" {
-			id = newRequestID()
-		}
+		id := IncomingRequestID(r)
 		w.Header().Set(RequestIDHeader, id)
 		tc := &traceCapture{}
 		ctx := context.WithValue(r.Context(), requestIDKey, id)
@@ -155,19 +171,15 @@ func withObservability(next http.Handler, logger *slog.Logger) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
 		attrs := []slog.Attr{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
+			slog.Int("status", sw.Status()),
 			slog.Float64("duration_ms", durMs(time.Since(start))),
-			slog.Int64("bytes", sw.bytes),
+			slog.Int64("bytes", sw.Bytes()),
 			slog.String("request_id", id),
 		}
 		if t, enc, has, hasEnc := tc.snapshot(); has {

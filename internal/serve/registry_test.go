@@ -57,34 +57,6 @@ func TestRegistryRegister(t *testing.T) {
 	}
 }
 
-// TestRegistryDefault pins default semantics: first registered wins
-// until SetDefault, which must name a registered model.
-func TestRegistryDefault(t *testing.T) {
-	reg := NewRegistry()
-	if _, _, ok := reg.Default(); ok {
-		t.Fatal("empty registry has a default")
-	}
-	a, b := newNamedServer(t, 1), newNamedServer(t, 2)
-	if err := reg.Register("first", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("second", b); err != nil {
-		t.Fatal(err)
-	}
-	if name, s, ok := reg.Default(); !ok || name != "first" || s != a {
-		t.Fatalf("default = %q, want first", name)
-	}
-	if err := reg.SetDefault("missing"); err == nil {
-		t.Fatal("SetDefault accepted an unregistered name")
-	}
-	if err := reg.SetDefault("second"); err != nil {
-		t.Fatal(err)
-	}
-	if name, s, ok := reg.Default(); !ok || name != "second" || s != b {
-		t.Fatalf("default = %q, want second", name)
-	}
-}
-
 // TestRegistryClose shuts every registered server down.
 func TestRegistryClose(t *testing.T) {
 	reg := NewRegistry()

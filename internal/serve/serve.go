@@ -209,14 +209,6 @@ type Config struct {
 	// cache keys (default 1e-6). Coarser grids trade exactness for hit
 	// rate; the JAG input cube is [0,1]^5 so 1e-6 is effectively exact.
 	CacheQuantum float64
-	// PassOverhead simulates fixed per-dispatch cost ahead of each
-	// forward pass — the GPU kernel-launch / accelerator-RPC overhead a
-	// production deployment pays once per batch. Zero for library use;
-	// the benchmarks use it the way ensemble.Config.TaskOverhead models
-	// Merlin's per-task scheduler cost (Section II-C), to make the
-	// batching economics measurable on CPU-only hosts where per-row
-	// arithmetic is the only real per-pass cost.
-	PassOverhead time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -684,17 +676,11 @@ func (s *Server) workerLoop() {
 			copy(x.Row(i), r.x)
 		}
 		// Stage spans: assembly is flush → forward start (worker wait +
-		// stale reap + gather); forward is the pass itself, including
-		// the modeled PassOverhead, which stands in for dispatch cost.
-		// Both are per-batch properties shared by every row's trace.
+		// stale reap + gather); forward is the model's Run call, with
+		// whatever per-dispatch cost the model pays. Both are per-batch
+		// properties shared by every row's trace.
 		fwdStart := time.Now()
 		assembly := fwdStart.Sub(b.flushed)
-		if s.cfg.PassOverhead > 0 {
-			// Spin rather than sleep: modeled dispatch overhead keeps
-			// the execution unit busy, like a kernel launch does.
-			for start := time.Now(); time.Since(start) < s.cfg.PassOverhead; {
-			}
-		}
 		y, err := s.model.Run(b.method, x)
 		fwdDur := time.Since(fwdStart)
 		s.stats.observeStage(StageAssembly, assembly.Seconds())

@@ -36,6 +36,37 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *cyclegan.Surrogate) {
 	return s, model
 }
 
+// overheadModel models a fixed per-dispatch cost — the GPU
+// kernel-launch / accelerator-RPC overhead a production deployment pays
+// once per batch — by spinning for d ahead of every forward pass of the
+// wrapped model.
+// Spin rather than sleep: dispatch overhead keeps the execution unit
+// busy, like a kernel launch does. The server times Run as the forward
+// stage, so the overhead bills to the forward span.
+type overheadModel struct {
+	Model
+	d time.Duration
+}
+
+func (m overheadModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	for start := time.Now(); time.Since(start) < m.d; {
+	}
+	return m.Model.Run(method, x)
+}
+
+// newOverheadServer is newTestServer with an overheadModel of overhead
+// d in front of the pool.
+func newOverheadServer(t *testing.T, cfg Config, d time.Duration) *Server {
+	t.Helper()
+	pool, err := NewPool([]*cyclegan.Surrogate{cyclegan.New(testModelCfg(), 42)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(overheadModel{Model: pool, d: d}, cfg)
+	t.Cleanup(s.Close)
+	return s
+}
+
 // testInput returns a deterministic in-cube input distinct per i.
 func testInput(i int) []float32 {
 	x := make([]float32, jag.InputDim)
@@ -367,11 +398,7 @@ func TestConcurrentStress(t *testing.T) {
 // TestPassOverheadLatency checks that the modeled dispatch overhead is
 // paid once per batch and shows up in the latency meter.
 func TestPassOverheadLatency(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		MaxBatch:     4,
-		MaxDelay:     time.Minute,
-		PassOverhead: 500 * time.Microsecond,
-	})
+	s := newOverheadServer(t, Config{MaxBatch: 4, MaxDelay: time.Minute}, 500*time.Microsecond)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -593,16 +620,12 @@ func TestReapBulk(t *testing.T) {
 // busy, batches channel full, batcher blocked mid-send) so that one
 // bulk and one interactive request are both parked in their lanes, then
 // checks the batcher serves the interactive one first. Sequencing uses
-// queue introspection, not sleeps; PassOverhead keeps the pipeline
-// clogged for 250ms so the setup comfortably finishes inside the
-// window even under the race detector.
+// queue introspection, not sleeps; a 250ms overheadModel keeps the
+// pipeline clogged so the setup comfortably finishes inside the window
+// even under the race detector.
 func TestPriorityInteractiveFirst(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		MaxBatch:     1,
-		MaxDelay:     time.Millisecond,
-		QueueDepth:   16,
-		PassOverhead: 250 * time.Millisecond,
-	})
+	s := newOverheadServer(t, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 16},
+		250*time.Millisecond)
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)

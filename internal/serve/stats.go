@@ -21,8 +21,9 @@ const (
 	// worker (the M/D/c queue wait) plus stale-row reaping and matrix
 	// gather. Recorded once per batch.
 	StageAssembly = "batch_assembly"
-	// StageForward is the model's batched forward pass, including any
-	// modeled PassOverhead. Recorded once per batch.
+	// StageForward is the model's batched forward pass: the whole
+	// Model.Run call, fixed per-dispatch cost included. Recorded once
+	// per batch.
 	StageForward = "forward"
 	// StageEncode is the HTTP response encoding span (JSON or binary
 	// frame), recorded by the handler once per response. In-process
@@ -178,7 +179,7 @@ func (s *Stats) cacheMiss() {
 }
 
 // StageSnapshot summarizes one pipeline stage's latency histogram for
-// the /stats JSON endpoint, all times in milliseconds.
+// the /v1/models/{name}/stats JSON endpoint, all times in milliseconds.
 type StageSnapshot struct {
 	Count  int64   `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
@@ -201,7 +202,7 @@ func stageSnapshot(h metrics.HistogramSnapshot) StageSnapshot {
 }
 
 // StatsSnapshot is a consistent copy of the serving counters, shaped for
-// the /stats JSON endpoint.
+// the /v1/models/{name}/stats JSON endpoint.
 type StatsSnapshot struct {
 	Requests int64 `json:"requests"`
 	// MethodRequests splits Requests by model method ("predict",
