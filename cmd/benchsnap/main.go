@@ -1,8 +1,10 @@
 // Command benchsnap converts `go test -bench` text output into a
 // machine-readable JSON snapshot, so the serving benchmarks
 // (BenchmarkServeBatched, BenchmarkServeUnbatched,
-// BenchmarkWireBinaryVsJSON, BenchmarkProxyOverhead) leave an artifact
-// that scripts and CI can diff instead of a transient log line. The
+// BenchmarkWireBinaryVsJSON, BenchmarkProxyOverhead) and the training
+// layers under them (the internal/tensor GEMM benchmarks in GFLOP/s,
+// internal/cyclegan BenchmarkTrainStepTiny) leave an artifact that
+// scripts and CI can diff instead of a transient log line. The
 // checked-in BENCH_8.json at the repo root is one such snapshot; CI
 // regenerates it every run and uploads the fresh copy, so a perf
 // regression is visible as a JSON diff against the committed baseline.

@@ -23,7 +23,9 @@ const gemmGrain = 8
 // Gemm computes C = alpha*op(A)*op(B) + beta*C, the workhorse of every layer
 // forward and backward pass. Shapes after applying the ops must satisfy
 // op(A): m×k, op(B): k×n, C: m×n; Gemm panics otherwise. C must not alias A
-// or B.
+// or B. Output rows are split across workers; within a row the NN and TN
+// cases accumulate scaled rows of B with axpy and the NT case takes dot
+// products, so results do not depend on the worker count.
 func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32) {
 	m, ka := a.Rows, a.Cols
 	if transA == Trans {
@@ -140,9 +142,14 @@ func gemmTT(c *Matrix, alpha float32, a, b *Matrix) {
 	})
 }
 
-// axpy computes y += s*x with 4-way unrolling.
-func axpy(s float32, x, y []float32) {
+// axpyGo computes y += s*x with 4-way unrolling. It is the pure-Go
+// implementation of axpy and the reference the SIMD kernel must match bit
+// for bit. It panics if len(y) < len(x).
+func axpyGo(s float32, x, y []float32) {
 	n := len(x)
+	if n == 0 {
+		return
+	}
 	_ = y[n-1] // hoist the bounds check out of the unrolled loop
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -156,8 +163,11 @@ func axpy(s float32, x, y []float32) {
 	}
 }
 
-// dot returns the inner product of x and y, which must have equal length.
-func dot(x, y []float32) float32 {
+// dotGo returns the inner product of x and the first len(x) elements of y
+// in four interleaved partial sums. It is the pure-Go implementation of dot
+// and the reference the SIMD kernel must match bit for bit. It panics if
+// len(y) < len(x).
+func dotGo(x, y []float32) float32 {
 	var s0, s1, s2, s3 float32
 	n := len(x)
 	i := 0

@@ -4,7 +4,11 @@
 //
 // Matrices are row-major float32. Mini-batches are stored one sample per row,
 // so a Linear layer's forward pass is a single GEMM over the whole batch.
-// All O(n³) kernels are blocked and parallelized with internal/parallel.
+// The O(n³) GEMM kernels are i-k-j (or dot-product) loop nests split by
+// output rows across internal/parallel workers; their inner loops are the
+// axpy and dot kernels: SSE assembly on amd64, bit-identical there to the
+// pure-Go loops that every other platform runs. There is no cache blocking
+// or register tiling yet.
 package tensor
 
 import (

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,9 +43,9 @@ func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 
 func TestGemmAllVariantsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	shapes := []struct{ m, k, n int }{
+	shapes := append([]struct{ m, k, n int }{
 		{1, 1, 1}, {3, 4, 5}, {8, 8, 8}, {17, 31, 13}, {64, 20, 48}, {5, 1, 9},
-	}
+	}, trainerShapes...)
 	for _, ta := range []Op{NoTrans, Trans} {
 		for _, tb := range []Op{NoTrans, Trans} {
 			for _, sh := range shapes {
@@ -280,6 +281,22 @@ func BenchmarkGemmNN128(b *testing.B) { benchGemm(b, 128, 128, 128, NoTrans, NoT
 func BenchmarkGemmTN128(b *testing.B) { benchGemm(b, 128, 128, 128, Trans, NoTrans) }
 func BenchmarkGemmNT128(b *testing.B) { benchGemm(b, 128, 128, 128, NoTrans, Trans) }
 
+// trainerShapes are m×k×n products at the CycleGAN trainer's batch size 32
+// and layer widths 399 and 128; k and n are not multiples of 4.
+var trainerShapes = []struct{ m, k, n int }{{32, 399, 128}, {399, 32, 128}, {32, 128, 399}}
+
+func BenchmarkGemmNN(b *testing.B) { benchGemmShapes(b, NoTrans, NoTrans) }
+func BenchmarkGemmTN(b *testing.B) { benchGemmShapes(b, Trans, NoTrans) }
+func BenchmarkGemmNT(b *testing.B) { benchGemmShapes(b, NoTrans, Trans) }
+
+func benchGemmShapes(b *testing.B, ta, tb Op) {
+	for _, sh := range trainerShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
+			benchGemm(b, sh.m, sh.k, sh.n, ta, tb)
+		})
+	}
+}
+
 func benchGemm(b *testing.B, m, k, n int, ta, tb Op) {
 	rng := rand.New(rand.NewSource(9))
 	ar, ac := m, k
@@ -293,14 +310,20 @@ func benchGemm(b *testing.B, m, k, n int, ta, tb Op) {
 	a := randomMatrix(rng, ar, ac)
 	bm := randomMatrix(rng, br, bc)
 	c := New(m, n)
-	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Gemm(c, 1, a, ta, bm, tb, 0)
 	}
+	reportGFLOPS(b, 2*m*k*n)
 }
 
-// BenchmarkGemmNaive provides the ablation baseline for the blocked kernel.
+// reportGFLOPS reports the rate of a benchmark whose every iteration does
+// flops floating-point operations.
+func reportGFLOPS(b *testing.B, flops int) {
+	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkGemmNaive128 provides the ablation baseline for Gemm.
 func BenchmarkGemmNaive128(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	a := randomMatrix(rng, 128, 128)
@@ -310,4 +333,5 @@ func BenchmarkGemmNaive128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		naiveGemm(c, 1, a, NoTrans, bm, NoTrans, 0)
 	}
+	reportGFLOPS(b, 2*128*128*128)
 }
